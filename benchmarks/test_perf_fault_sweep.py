@@ -17,17 +17,17 @@ Correctness is asserted hard — grouped and cell-at-a-time execution must
 produce bit-identical records (the campaign determinism contract) — and
 the grouped path must beat the legacy loop by the ROADMAP floor of 3x
 (relaxed in ``PERF_FAULT_SWEEP_SMOKE=1`` CI mode, which also shrinks the
-grid; the committed ``results/perf_fault_sweep.json`` records a full run).
+grid; the committed ``results/perf_fault_sweep.json`` records a full run,
+written with ``PERF_RECORD=1``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
+from perf_results import record_results
 
 from repro.core.mitigation import build_technique
 from repro.eval.campaign import (
@@ -57,7 +57,6 @@ N_TRIALS = 2
 #: CI runners are noisy and share cores; locally the grouped path clears 3x.
 MIN_SPEEDUP = 1.5 if SMOKE else 3.0
 
-RESULTS_PATH = Path(__file__).parent / "results" / "perf_fault_sweep.json"
 
 
 def _legacy_cell_loop(cells, model, dataset, techniques):
@@ -163,9 +162,6 @@ def test_fault_sweep_map_parallel_speedup(runner, mnist_n400_config):
             legacy_seconds / cellwise_seconds if cellwise_seconds > 0 else 0.0, 2
         ),
     }
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(summary, indent=2) + "\n")
-
     print()
     print(
         f"BENCH perf_fault_sweep: {len(cells)} cells x {len(techniques)} "
@@ -179,3 +175,4 @@ def test_fault_sweep_map_parallel_speedup(runner, mnist_n400_config):
         f"grouped map-parallel sweep is only {speedup:.2f}x faster than the "
         f"per-cell loop (floor {MIN_SPEEDUP}x) on {len(cells)} cells"
     )
+    record_results("perf_fault_sweep.json", summary)

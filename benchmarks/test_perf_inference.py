@@ -24,19 +24,19 @@ The batched engine must beat the inference path it replaced by at least
 5x; against the (already accelerated) sequential parity reference a
 smaller factor remains.  Results (including the per-size scaling entries
 under ``scaling``, each carrying its own geometry) are written to
-``benchmarks/results/perf_inference.json`` so successive PRs can track the
-hot path.  Set ``PERF_INFERENCE_SMOKE=1`` (the CI artifact step does) to
-shrink the scaling sweep to its smallest point.
+``benchmarks/results/perf_inference.json`` with ``PERF_RECORD=1``, so
+successive changes can track the hot path.  Set
+``PERF_INFERENCE_SMOKE=1`` (the CI artifact step does) to shrink the
+scaling sweep to its smallest point.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
+from perf_results import record_results
 
 from repro.data.synthetic_mnist import SyntheticMNIST
 from repro.snn.inference import InferenceEngine
@@ -62,19 +62,6 @@ SCALING_POINTS = (
     if SMOKE
     else [(400, 150, 64, 2), (1600, 150, 64, 2), (6400, 100, 32, 2)]
 )
-
-RESULTS_PATH = Path(__file__).parent / "results" / "perf_inference.json"
-
-
-def _merge_results(section, payload):
-    """Update one key of the shared results file, keeping the others."""
-    summary = {}
-    if RESULTS_PATH.exists():
-        summary = json.loads(RESULTS_PATH.read_text())
-    summary[section] = payload
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(summary, indent=2) + "\n")
-
 
 def _build():
     config = NetworkConfig(
@@ -147,8 +134,6 @@ def test_batched_engine_speedup():
         "speedup_vs_legacy": round(speedup_vs_legacy, 2),
         "speedup_vs_sequential": round(speedup_vs_sequential, 2),
     }
-    _merge_results("n400_paths", summary)
-
     print()
     print(
         f"BENCH perf_inference: N{N_NEURONS}, {N_SAMPLES} samples, "
@@ -172,6 +157,7 @@ def test_batched_engine_speedup():
         f"batched engine only {speedup_vs_sequential:.1f}x faster than the "
         f"sequential parity reference"
     )
+    record_results("perf_inference.json", summary, section="n400_paths")
 
 
 def test_batched_scaling_curve():
@@ -224,12 +210,13 @@ def test_batched_scaling_curve():
             f"({curve[f'N{n_neurons}']['ns_per_neuron_timestep']} "
             f"ns/neuron-timestep)"
         )
-    _merge_results(
-        "scaling",
+    record_results(
+        "perf_inference.json",
         {
             "smoke": SMOKE,
             "batch_size": BATCH_SIZE,
             "available_cpus": os.cpu_count() or 1,
             "sizes": curve,
         },
+        section="scaling",
     )

@@ -8,8 +8,9 @@ measured; when numba is importable the compiled twins are measured too and
 the per-kernel speedup is recorded (and floored — the compiled advance must
 not be slower than the ufunc pipeline it replaces).
 
-Results go to ``benchmarks/results/perf_kernels.json`` so successive PRs
-can track each primitive separately from the end-to-end engine benches:
+With ``PERF_RECORD=1``, results go to
+``benchmarks/results/perf_kernels.json`` so successive changes can track
+each primitive separately from the end-to-end engine benches:
 ``<size>.<backend>.gemm_gops`` is GEMM throughput in effective
 billion MACs/s, ``<size>.<backend>.advance_ns_per_neuron_step`` the advance
 cost per neuron-timestep, and ``numba_speedup`` the compiled-over-numpy
@@ -23,12 +24,11 @@ floor on loaded workers.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
+from perf_results import record_results
 
 from repro.snn.kernels import (
     KernelWorkspace,
@@ -57,7 +57,6 @@ N_REPS = 3 if SMOKE else 5
 #: The compiled advance must at least match the numpy ufunc pipeline.
 MIN_NUMBA_ADVANCE_SPEEDUP = 0.8
 
-RESULTS_PATH = Path(__file__).parent / "results" / "perf_kernels.json"
 
 
 def _best_of(n_reps, run):
@@ -182,9 +181,6 @@ def test_kernel_throughput():
             }
         summary["sizes"][f"N{n_neurons}"] = entry
 
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(summary, indent=2) + "\n")
-
     print()
     for size, entry in summary["sizes"].items():
         for backend in backends:
@@ -210,6 +206,7 @@ def test_kernel_throughput():
                 f"numba advance at {size} is {speedup}x the numpy kernel — "
                 "the compiled backend must not lose to the ufunc pipeline"
             )
+    record_results("perf_kernels.json", summary)
 
 
 def test_model_advance_costs():
@@ -297,23 +294,21 @@ def test_model_advance_costs():
             f"{per_model[name]['advance_ns_per_neuron_step']} ns/neuron-step"
         )
 
-    summary = {}
-    if RESULTS_PATH.exists():
-        summary = json.loads(RESULTS_PATH.read_text())
-    summary["models"] = {
-        "smoke": SMOKE,
-        "n_neurons": n_neurons,
-        "timesteps": TIMESTEPS,
-        "batch": BATCH,
-        "backend": "numpy",
-        "per_model": per_model,
-    }
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(summary, indent=2) + "\n")
-
     assert set(per_model) == set(MODEL_NAMES)
     for results in per_model.values():
         assert results["advance_ns_per_neuron_step"] > 0.0
+    record_results(
+        "perf_kernels.json",
+        {
+            "smoke": SMOKE,
+            "n_neurons": n_neurons,
+            "timesteps": TIMESTEPS,
+            "batch": BATCH,
+            "backend": "numpy",
+            "per_model": per_model,
+        },
+        section="models",
+    )
 
 
 def test_telemetry_overhead_guard():

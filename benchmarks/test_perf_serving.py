@@ -13,15 +13,16 @@ Both runs classify the same 400 requests (N400-proxy network, 48 neurons,
 100 timesteps) with the same per-request seeds, so the bench first asserts
 the predictions are bit-identical — serving must not trade exactness for
 throughput — and then asserts the micro-batched configuration clears at
-least 2x the baseline throughput.  The summary lands in
-``benchmarks/results/perf_serving.json`` so successive PRs can track the
-serving path.
+least 2x the baseline throughput.  With ``PERF_RECORD=1``
+the summary lands in ``benchmarks/results/perf_serving.json`` so
+successive changes can track the serving path.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
+
+from perf_results import record_results
 
 from repro.eval.experiment import ExperimentConfig, ExperimentRunner
 from repro.serve.loadgen import run_closed_loop
@@ -34,7 +35,6 @@ MICRO_BATCH_SIZE = 32
 MICRO_DELAY_MS = 10.0
 MODEL_NAME = "bench-mnist-n400"
 
-RESULTS_PATH = Path(__file__).parent / "results" / "perf_serving.json"
 
 #: N400-proxy serving model (same scaling as the campaign benches).
 BENCH_CONFIG = ExperimentConfig(
@@ -120,9 +120,6 @@ def test_microbatch_vs_single_request_serving(tmp_path):
         "max_delay_ms": MICRO_DELAY_MS,
         "speedup": round(speedup, 2),
     }
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(summary, indent=2) + "\n")
-
     print()
     print(
         f"BENCH perf_serving: {N_REQUESTS} requests x {CONCURRENCY} clients, "
@@ -140,3 +137,4 @@ def test_microbatch_vs_single_request_serving(tmp_path):
         f"baseline ({micro.throughput_rps:.0f} vs "
         f"{baseline.throughput_rps:.0f} rps)"
     )
+    record_results("perf_serving.json", summary)

@@ -15,8 +15,8 @@ through both code paths:
     assignment, bit-identical to the sequential path.
 
 A smaller N100 measurement rides along so EXPERIMENTS.md can show how the
-gap scales with the population size.  Results go to
-``benchmarks/results/perf_training.json``.
+gap scales with the population size.  With
+``PERF_RECORD=1``, results go to ``benchmarks/results/perf_training.json``.
 
 Set ``PERF_TRAINING_SMOKE=1`` (the CI artifact step does) to shrink the
 workload and relax the speedup floor — loaded CI runners still verify
@@ -25,12 +25,11 @@ parity and produce a tracking artifact without flaking on wall-clock.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
+from perf_results import record_results
 
 from repro.data.synthetic_mnist import SyntheticMNIST
 from repro.snn.network import NetworkConfig
@@ -48,7 +47,6 @@ SIZES = [(50, 6), (100, 6)] if SMOKE else [(100, 12), (400, 12)]
 #: does not turn the bench flaky (same policy as the inference bench).
 MIN_SPEEDUP = 1.5 if SMOKE else 3.0
 
-RESULTS_PATH = Path(__file__).parent / "results" / "perf_training.json"
 
 
 def _train(n_neurons: int, n_samples: int, vectorized: bool):
@@ -112,9 +110,6 @@ def test_vectorized_training_speedup():
     if headline["n_neurons"] == 400:
         # The acceptance number tracked across PRs: the paper-scale proxy.
         summary["n400_speedup"] = headline["speedup"]
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(summary, indent=2) + "\n")
-
     print()
     for row in rows:
         print(
@@ -131,3 +126,4 @@ def test_vectorized_training_speedup():
         f"(sequential {headline['sequential_s']:.2f}s, "
         f"vectorized {headline['vectorized_s']:.2f}s)"
     )
+    record_results("perf_training.json", summary)

@@ -27,10 +27,11 @@ technique.  This module turns that grid into explicit, schedulable work:
 
 Workers never retrain and never regenerate data: the orchestrator trains
 each clean model once, snapshots it with
-:meth:`~repro.snn.training.TrainedModel.save`, publishes the test set (and
-each unit's pre-encoded presentations) in shared memory, and long-lived
-workers load the snapshot once and attach zero-copy views — so a unit's
-marginal cost in a worker is the simulation itself, which is what lets the
+:meth:`~repro.snn.training.TrainedModel.save` and publishes the test set
+in shared memory; long-lived workers load the snapshot once, attach
+zero-copy views and derive every other input of a unit (fault maps,
+encoded presentations) from its cell seeds, exactly as the serial path
+does — so the whole per-unit cost runs in parallel, which is what lets the
 pool approach linear scaling on multi-core machines.
 """
 
@@ -76,7 +77,6 @@ __all__ = [
     "CellResult",
     "CampaignSpec",
     "CampaignResult",
-    "UnitInputs",
     "build_experiment_cells",
     "execute_cell",
     "execute_cell_group",
@@ -315,17 +315,13 @@ def _clean_reference_key(techniques: Sequence[MitigationTechnique]) -> str:
 
 @dataclass
 class UnitInputs:
-    """Precomputed per-cell randomness of one execution unit.
+    """Per-cell randomness of one execution unit, drawn from its seeds.
 
     Everything :func:`execute_cell_group` derives from the cell seeds
     before the engine pass: the drawn fault maps (``None`` for the clean
-    unit), one pre-encoded presentation raster per cell, and the per-cell
+    unit), one encoded presentation raster per cell, and the per-cell
     generators advanced past map drawing and encoding (techniques that
-    draw extra randomness consume them next).  Preparing these inputs in
-    the orchestrator is what lets warm pool workers receive presentations
-    as zero-copy shared-memory views instead of re-encoding — the records
-    are bit-identical either way because the same streams are consumed in
-    the same order.
+    draw extra randomness consume them next).
     """
 
     fault_maps: Optional[List["FaultMap"]]
@@ -415,7 +411,6 @@ def execute_cell_group(
     model: TrainedModel,
     dataset: Dataset,
     techniques: Sequence[MitigationTechnique],
-    inputs: Optional[UnitInputs] = None,
 ) -> List[CellResult]:
     """Execute cells at one (experiment, fault rate) coordinate as a unit.
 
@@ -428,31 +423,22 @@ def execute_cell_group(
     engine arithmetic is bit-identical to stand-alone evaluation, grouping
     is purely an execution-strategy choice: the records equal the ones
     :func:`execute_cell` produces for each cell alone (only the measured
-    ``duration_seconds`` differs — the unit's wall clock is split evenly
-    across its cells).
+    ``duration_seconds`` differs — the unit's wall clock, input
+    preparation included, is split evenly across its cells).
 
     A clean cell (one per experiment) must form its own unit; it evaluates
     every technique against the fault-free engine, so weight-modifying
     techniques (BnP bounds weights even at fault rate 0) report their true
     clean baseline instead of inheriting the unmitigated one.
 
-    Parameters
-    ----------
-    cells / model / dataset / techniques:
-        The unit and the assets it evaluates against.
-    inputs:
-        Optional pre-drawn :class:`UnitInputs` — the warm-pool path, where
-        the orchestrator prepared maps and presentations and shipped the
-        rasters through shared memory.  ``None`` (the serial path) prepares
-        them here from the cell seeds; the streams consumed are identical,
-        so the records match bit for bit.
+    Serial execution and warm pool workers make this same call, so their
+    records match bit for bit.
     """
     cells = list(cells)
     _validate_unit(cells, techniques)
 
     started = time.perf_counter()
-    if inputs is None:
-        inputs = prepare_unit_inputs(cells, model, dataset)
+    inputs = prepare_unit_inputs(cells, model, dataset)
     config = _unit_fault_config(cells[0])
     fault_maps = inputs.fault_maps
 
@@ -1024,12 +1010,10 @@ def _execute_pool(
 ) -> Optional[Dict[str, object]]:
     """Distribute units over the warm persistent worker pool.
 
-    The orchestrator keeps the prepared assets (it draws the fault maps and
-    encodes the presentations itself, see
-    :func:`repro.eval.pool.execute_units_pooled`); workers receive the
-    model snapshot path once per experiment and the encoded rasters through
-    shared memory per unit.  Returns the pool-statistics dict for the run
-    report.
+    Workers receive the model snapshot path and the shared-memory test set
+    once per experiment and draw each unit's inputs from its cell seeds
+    (see :func:`repro.eval.pool.execute_units_pooled`).  Returns the
+    pool-statistics dict for the run report.
     """
     from repro.eval.pool import execute_units_pooled
 

@@ -8,27 +8,28 @@ with long-lived workers and a strict split of responsibilities:
 Orchestrator (this process)
     Owns every heavy asset.  It trains/loads the clean models, publishes
     each experiment's test set once via ``multiprocessing.shared_memory``
-    (:class:`repro.utils.serialization.SharedArrayPublisher`), and — right
-    before dispatching a unit — draws that unit's fault maps and encodes
-    its presentations (:func:`repro.eval.campaign.prepare_unit_inputs`),
-    publishing the stacked rasters as one shared segment per cell.  The
-    per-unit encode overlaps with worker simulation, so encoding cost is
-    hidden behind the much larger engine pass.
+    (:class:`repro.utils.serialization.SharedArrayPublisher`), and
+    dispatches units as plain cell lists.  It draws no randomness and
+    encodes nothing.
 
 Workers (long-lived child processes)
     Load the ``TrainedModel`` snapshot once per experiment key, attach
-    zero-copy numpy views onto the published test set and rasters, rebuild
-    techniques from their declarative specs, and run
-    :func:`repro.eval.campaign.execute_cell_group` with the pre-drawn
-    :class:`repro.eval.campaign.UnitInputs`.  Because the orchestrator
-    consumed the very same per-cell random streams in the very same order
-    the serial path does, the records coming back are bit-identical to
-    serial execution.
+    zero-copy numpy views onto the published test set, rebuild techniques
+    from their declarative specs, and run
+    :func:`repro.eval.campaign.execute_cell_group` — the very call the
+    serial path makes.  Every input a unit needs (fault maps, encoded
+    presentations, the generators techniques resume) is a pure function of
+    ``cell.seed``, the snapshot and the test set, so the records coming
+    back are bit-identical to serial execution by construction.  At
+    start-up each worker caps its OpenBLAS thread pool at
+    ``max(1, usable_cpus // n_workers)``, so the pool never runs more BLAS
+    threads than there are cores.
 
-Scheduling is group-aware: units are assigned largest-first (LPT) and
-routed with affinity to a worker that already holds the unit's experiment
-assets, unless that worker is overloaded relative to the least-loaded one.
-Results stream back over a single queue, so the caller's ``on_result``
+Scheduling is pull-based: units wait in the orchestrator largest-first
+(LPT) and go out one at a time to whichever worker frees up first, so the
+load balances on measured unit times; among the largest pending units, one
+whose experiment assets the worker already holds is preferred.  Results
+stream back over a single queue, so the caller's ``on_result``
 callback (and therefore ``ResultStore`` append/fsync and resume
 fingerprints) behaves exactly as in serial execution.
 
@@ -36,15 +37,15 @@ Crash safety: the orchestrator owns all shared-memory segments and unlinks
 them in a ``finally`` block, so neither worker crashes nor
 ``KeyboardInterrupt`` leak segments.  A worker that dies mid-unit is
 detected by liveness polling; its in-flight unit is named (experiment key
-plus cell ids) and re-executed serially once, and its queued units are
-redistributed to the surviving workers.
+plus cell ids) and re-executed serially once, and the pending units go to
+the surviving workers.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import os
-import pickle
 import queue as queue_module
 import signal
 import time
@@ -59,9 +60,7 @@ from repro.eval.campaign import (
     CellResult,
     SweepCell,
     TechniqueSpec,
-    UnitInputs,
     execute_cell_group,
-    prepare_unit_inputs,
 )
 from repro.obs import metrics as _obs
 from repro.snn.training import TrainedModel
@@ -119,11 +118,6 @@ _POOL_SHM_UNLINKED = _obs.get_registry().counter(
     "Bytes of shared-memory segments unlinked by the orchestrator.",
 )
 
-# Units a worker may have queued or running at once.  Two keeps a worker
-# busy while the orchestrator encodes its next unit without letting
-# shared-memory rasters for the whole campaign pile up.
-_MAX_IN_FLIGHT = 2
-
 # Environment hook for the crash-handling tests: a worker whose task's
 # ``unit_id`` matches this value hard-exits right after acknowledging the
 # unit, simulating a mid-unit crash (OOM kill, segfault).
@@ -159,9 +153,6 @@ class _UnitTask:
     unit_id: int
     experiment_key: str
     cells: Tuple[Dict[str, object], ...]
-    fault_maps_blob: Optional[bytes]
-    raster_handles: Tuple[SharedArrayHandle, ...]
-    generators_blob: bytes
 
 
 @dataclass
@@ -170,11 +161,10 @@ class _WorkerState:
 
     process: mp.process.BaseProcess
     task_queue: "mp.queues.Queue"
-    backlog: List[int] = field(default_factory=list)
-    in_flight: List[int] = field(default_factory=list)
+    #: The one unit sent to the worker and not yet done.
+    assigned: Optional[int] = None
     started_unit: Optional[int] = None
     sent_contexts: set = field(default_factory=set)
-    load: int = 0
     alive: bool = True
     #: ``perf_counter`` when the current unit's "start" ack arrived;
     #: workers execute units strictly serially, so start/done pair up.
@@ -235,6 +225,36 @@ def _install_log_relay(
     root.propagate = False
 
 
+def _limit_blas_threads(n_workers: int) -> Optional[int]:
+    """Cap this process's OpenBLAS pool at its share of the usable cores.
+
+    Forked workers inherit numpy's full BLAS thread pool, so ``w`` workers
+    would otherwise run ``w`` times as many BLAS threads as there are
+    cores.  Returns the thread count OpenBLAS reports after the change, or
+    ``None`` when no OpenBLAS is loaded.
+    """
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = {line.split()[-1] for line in handle if "openblas" in line.lower()}
+    except OSError:  # pragma: no cover - no procfs, so no way to find it
+        return None
+    threads = max(1, len(os.sched_getaffinity(0)) // n_workers)
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                setter = getattr(library, f"{prefix}_set_num_threads{suffix}", None)
+                getter = getattr(library, f"{prefix}_get_num_threads{suffix}", None)
+                if setter is not None and getter is not None:
+                    setter.argtypes = [ctypes.c_int]
+                    setter.restype = None
+                    getter.argtypes = []
+                    getter.restype = ctypes.c_int
+                    setter(threads)
+                    return getter()
+    return None
+
+
 def _worker_assets(
     context: ExperimentContext,
     cache: Dict[str, Tuple[TrainedModel, Dataset, List[object]]],
@@ -262,6 +282,7 @@ def _worker_assets(
 
 def _worker_main(
     worker_id: int,
+    n_workers: int,
     task_queue: "mp.queues.Queue",
     result_queue: "mp.queues.Queue",
 ) -> None:
@@ -273,6 +294,7 @@ def _worker_main(
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _install_log_relay(worker_id, result_queue)
+    result_queue.put(("ready", worker_id, _limit_blas_threads(n_workers)))
     contexts: Dict[str, ExperimentContext] = {}
     cache: Dict[str, Tuple[TrainedModel, Dataset, List[object]]] = {}
     views: List[SharedArrayView] = []
@@ -294,7 +316,6 @@ def _worker_main(
                 result_queue.close()
                 result_queue.join_thread()
                 os._exit(3)
-            raster_views: List[SharedArrayView] = []
             _LOGGER.debug(
                 "executing unit %d (%d cells, experiment %s)",
                 task.unit_id,
@@ -305,23 +326,8 @@ def _worker_main(
                 model, dataset, techniques = _worker_assets(
                     contexts[task.experiment_key], cache, views
                 )
-                raster_views = [
-                    SharedArrayView(handle) for handle in task.raster_handles
-                ]
-                fault_maps = (
-                    None
-                    if task.fault_maps_blob is None
-                    else pickle.loads(task.fault_maps_blob)
-                )
-                inputs = UnitInputs(
-                    fault_maps=fault_maps,
-                    rasters=[view.array for view in raster_views],
-                    generators=pickle.loads(task.generators_blob),
-                )
                 cells = [SweepCell.from_dict(data) for data in task.cells]
-                results = execute_cell_group(
-                    cells, model, dataset, techniques, inputs=inputs
-                )
+                results = execute_cell_group(cells, model, dataset, techniques)
                 result_queue.put(
                     (
                         "done",
@@ -334,9 +340,6 @@ def _worker_main(
                 result_queue.put(
                     ("error", worker_id, task.unit_id, traceback.format_exc())
                 )
-            finally:
-                for view in raster_views:
-                    view.close()
     finally:
         for view in views:
             view.close()
@@ -348,43 +351,27 @@ def _describe_unit(unit: Sequence[SweepCell]) -> str:
     return f"experiment {unit[0].experiment_key}: [{cell_ids}]"
 
 
-def _assign_units(
+def _take_unit(
+    pending: List[int],
     units: Sequence[Sequence[SweepCell]],
-    n_workers: int,
-    decisions: Optional[Dict[str, int]] = None,
-) -> List[List[int]]:
-    """Largest-first (LPT) assignment with experiment affinity.
+    held_keys: set,
+) -> Tuple[int, str]:
+    """Pop the next unit for an idle worker; return it with its policy.
 
-    Returns per-worker lists of unit indices.  Each unit goes to the
-    least-loaded worker, except that a worker already holding the unit's
-    experiment assets is preferred as long as its load stays within one
-    unit-cost of the minimum — re-using a loaded model beats perfect
-    balance for anything but large imbalances.  When *decisions* is given,
-    per-policy routing counts are accumulated into it (the same tallies
-    feed the ``softsnn_campaign_sched_decisions_total`` counter).
+    *pending* is kept largest-first (LPT), and units go out one at a time
+    to whichever worker frees up first, so the pool balances on measured
+    unit times rather than on a cost estimate.  Among the largest pending
+    units, one whose experiment assets the worker already holds is
+    preferred (``affinity``); otherwise the largest goes
+    (``least_loaded``: the idle worker is the least loaded by definition).
     """
-    order = sorted(range(len(units)), key=lambda i: -len(units[i]))
-    loads = [0] * n_workers
-    keys: List[set] = [set() for _ in range(n_workers)]
-    backlog: List[List[int]] = [[] for _ in range(n_workers)]
-    for index in order:
-        unit = units[index]
-        cost = len(unit)
-        best = min(range(n_workers), key=lambda w: loads[w])
-        with_key = [w for w in range(n_workers) if unit[0].experiment_key in keys[w]]
-        policy = "least_loaded"
-        if with_key:
-            preferred = min(with_key, key=lambda w: loads[w])
-            if loads[preferred] <= loads[best] + cost:
-                best = preferred
-                policy = "affinity"
-        _POOL_SCHED.labels(policy=policy).inc()
-        if decisions is not None:
-            decisions[policy] = decisions.get(policy, 0) + 1
-        backlog[best].append(index)
-        loads[best] += cost
-        keys[best].add(unit[0].experiment_key)
-    return backlog
+    largest = len(units[pending[0]])
+    for position, index in enumerate(pending):
+        if len(units[index]) < largest:
+            break
+        if units[index][0].experiment_key in held_keys:
+            return pending.pop(position), "affinity"
+    return pending.pop(0), "least_loaded"
 
 
 def execute_units_pooled(
@@ -400,8 +387,10 @@ def execute_units_pooled(
     Returns a pool-statistics dict (``None`` for an empty unit list):
     worker count, wall seconds, per-worker busy time / utilization / unit
     counts, crash and serial-retry totals, shared-memory bytes published
-    and unlinked, and per-policy scheduling decisions.  The campaign
-    embeds it in :meth:`repro.eval.campaign.CampaignResult.run_report`.
+    and unlinked (the test sets), the BLAS thread count each worker runs
+    (``None`` without OpenBLAS) and per-policy scheduling decisions.  The
+    campaign embeds it in
+    :meth:`repro.eval.campaign.CampaignResult.run_report`.
 
     Parameters
     ----------
@@ -411,8 +400,8 @@ def execute_units_pooled(
         :func:`repro.eval.campaign.group_cells`.
     assets:
         Orchestrator-side ``{experiment_key: (model, test_set,
-        techniques)}`` — used to publish test sets, prepare unit inputs
-        and serially re-execute units of crashed workers.
+        techniques)}`` — used to publish test sets and serially
+        re-execute units of crashed workers.
     model_paths:
         ``{experiment_key: snapshot path}`` for worker-side model loading.
     technique_specs:
@@ -442,6 +431,7 @@ def execute_units_pooled(
         "serial_retries": 0,
         "shm_bytes_published": 0,
         "shm_bytes_unlinked": 0,
+        "worker_blas_threads": None,
         "sched_decisions": {"affinity": 0, "least_loaded": 0},
     }
 
@@ -457,7 +447,6 @@ def execute_units_pooled(
     publisher = SharedArrayPublisher(prefix="softsnn-pool")
     workers: List[_WorkerState] = []
     contexts: Dict[str, ExperimentContext] = {}
-    unit_rasters: Dict[int, Tuple[SharedArrayHandle, ...]] = {}
     done: set = set()
 
     needed_keys = {unit[0].experiment_key for unit in units}
@@ -482,30 +471,22 @@ def execute_units_pooled(
         stats["shm_bytes_published"] = context_shm_bytes
         _POOL_SHM_PUBLISHED.inc(context_shm_bytes)
 
-        for backlog in _assign_units(
-            units, n_workers, stats["sched_decisions"]
-        ):
+        pending = sorted(range(len(units)), key=lambda i: -len(units[i]))
+        for worker_id in range(n_workers):
             task_queue = ctx.Queue()
             process = ctx.Process(
                 target=_worker_main,
-                args=(len(workers), task_queue, result_queue),
+                args=(worker_id, n_workers, task_queue, result_queue),
                 daemon=True,
             )
             process.start()
-            workers.append(
-                _WorkerState(
-                    process=process, task_queue=task_queue, backlog=backlog
-                )
-            )
+            workers.append(_WorkerState(process=process, task_queue=task_queue))
 
         def update_gauges() -> None:
             """Refresh the live busy/queue gauges (progress line reads them)."""
             _POOL_QUEUE_DEPTH.set(
-                sum(
-                    len(w.backlog) + len(w.in_flight)
-                    for w in workers
-                    if w.alive
-                )
+                len(pending)
+                + sum(1 for w in workers if w.alive and w.assigned is not None)
             )
             _POOL_WORKERS_BUSY.set(
                 sum(
@@ -516,46 +497,24 @@ def execute_units_pooled(
             )
 
         def dispatch(worker: _WorkerState) -> None:
-            """Send the worker's next backlog unit (prepare inputs now)."""
-            while worker.backlog and len(worker.in_flight) < _MAX_IN_FLIGHT:
-                index = worker.backlog.pop(0)
-                unit = units[index]
-                key = unit[0].experiment_key
-                if key not in worker.sent_contexts:
-                    worker.task_queue.put(("context", contexts[key]))
-                    worker.sent_contexts.add(key)
-                model, dataset, _ = assets[key]
-                inputs = prepare_unit_inputs(unit, model, dataset)
-                handles = tuple(
-                    publisher.publish(raster) for raster in inputs.rasters
-                )
-                unit_rasters[index] = handles
-                nbytes = sum(handle.nbytes for handle in handles)
-                stats["shm_bytes_published"] += nbytes
-                _POOL_SHM_PUBLISHED.inc(nbytes)
-                task = _UnitTask(
-                    unit_id=index,
-                    experiment_key=key,
-                    cells=tuple(cell.to_dict() for cell in unit),
-                    fault_maps_blob=(
-                        None
-                        if inputs.fault_maps is None
-                        else pickle.dumps(inputs.fault_maps)
-                    ),
-                    raster_handles=handles,
-                    generators_blob=pickle.dumps(inputs.generators),
-                )
-                worker.task_queue.put(("unit", task))
-                worker.in_flight.append(index)
-
-        def release_rasters(index: int) -> None:
-            nbytes = 0
-            for handle in unit_rasters.pop(index, ()):
-                nbytes += handle.nbytes
-                publisher.unlink(handle)
-            if nbytes:
-                stats["shm_bytes_unlinked"] += nbytes
-                _POOL_SHM_UNLINKED.inc(nbytes)
+            """Send an idle worker the next pending unit, if any."""
+            if not pending:
+                return
+            index, policy = _take_unit(pending, units, worker.sent_contexts)
+            _POOL_SCHED.labels(policy=policy).inc()
+            stats["sched_decisions"][policy] += 1
+            unit = units[index]
+            key = unit[0].experiment_key
+            if key not in worker.sent_contexts:
+                worker.task_queue.put(("context", contexts[key]))
+                worker.sent_contexts.add(key)
+            task = _UnitTask(
+                unit_id=index,
+                experiment_key=key,
+                cells=tuple(cell.to_dict() for cell in unit),
+            )
+            worker.task_queue.put(("unit", task))
+            worker.assigned = index
 
         def run_serially(index: int, reason: str) -> None:
             """Serial (orchestrator-side) execution of one unit."""
@@ -580,17 +539,13 @@ def execute_units_pooled(
             done.add(index)
 
         def handle_dead_worker(worker: _WorkerState) -> None:
-            """Recover a crashed worker's in-flight and queued units."""
+            """Recover a crashed worker's unit; survivors take the rest."""
             worker.alive = False
             stats["crashes"] += 1
             _POOL_CRASHES.inc()
-            crashed = worker.started_unit
-            survivors = [w for w in workers if w.alive]
-            for index in worker.in_flight:
-                release_rasters(index)
-                if index in done:
-                    continue
-                if index == crashed:
+            index, worker.assigned = worker.assigned, None
+            if index is not None and index not in done:
+                if index == worker.started_unit:
                     # The unit the worker was executing when it died gets
                     # one serial retry, as promised in the module docs.
                     run_serially(
@@ -598,21 +553,16 @@ def execute_units_pooled(
                         f"worker {workers.index(worker)} died mid-unit "
                         f"(exit code {worker.process.exitcode})",
                     )
-                elif survivors:
-                    survivors[0].backlog.insert(0, index)
                 else:
-                    run_serially(index, "no surviving workers")
-            worker.in_flight = []
-            remaining = worker.backlog
-            worker.backlog = []
+                    pending.insert(0, index)
+            survivors = [w for w in workers if w.alive]
             if survivors:
-                for position, index in enumerate(remaining):
-                    survivors[position % len(survivors)].backlog.append(index)
                 for survivor in survivors:
-                    dispatch(survivor)
+                    if survivor.assigned is None:
+                        dispatch(survivor)
             else:
-                for index in remaining:
-                    run_serially(index, "no surviving workers")
+                while pending:
+                    run_serially(pending.pop(0), "no surviving workers")
 
         for worker in workers:
             dispatch(worker)
@@ -626,6 +576,9 @@ def execute_units_pooled(
                     if worker.alive and not worker.process.is_alive():
                         handle_dead_worker(worker)
                         update_gauges()
+                continue
+            if message[0] == "ready":
+                stats["worker_blas_threads"] = message[2]
                 continue
             if message[0] == "log":
                 # A relayed worker-side log record: re-emit it on the
@@ -652,12 +605,8 @@ def execute_units_pooled(
                     f"unit {_describe_unit(units[index])} failed in "
                     f"worker {worker_id}:\n{message[3]}"
                 )
-            for record in message[3]:
-                on_result(CellResult.from_dict(record))
             done.add(index)
-            release_rasters(index)
-            if index in worker.in_flight:
-                worker.in_flight.remove(index)
+            worker.assigned = None
             if worker.started_unit == index:
                 worker.started_unit = None
                 if worker.started_at is not None:
@@ -666,8 +615,12 @@ def execute_units_pooled(
                     worker.busy_seconds += elapsed
                     _POOL_UNIT_SECONDS.observe(elapsed)
             worker.units_done += 1
+            # Refill the worker before streaming the records out, so the
+            # store's append/fsync overlaps its next unit.
             dispatch(worker)
             update_gauges()
+            for record in message[3]:
+                on_result(CellResult.from_dict(record))
     finally:
         for worker in workers:
             if worker.alive and worker.process.is_alive():
@@ -685,16 +638,10 @@ def execute_units_pooled(
             worker.task_queue.close()
         result_queue.cancel_join_thread()
         result_queue.close()
-        # publisher.close() unlinks every remaining segment: the shared
-        # test sets plus any rasters not yet released (crash/error paths).
-        leftover = context_shm_bytes + sum(
-            handle.nbytes
-            for handles in unit_rasters.values()
-            for handle in handles
-        )
-        if leftover:
-            stats["shm_bytes_unlinked"] += leftover
-            _POOL_SHM_UNLINKED.inc(leftover)
+        # publisher.close() unlinks the shared test sets.
+        if context_shm_bytes:
+            stats["shm_bytes_unlinked"] += context_shm_bytes
+            _POOL_SHM_UNLINKED.inc(context_shm_bytes)
         publisher.close()
         _POOL_WORKERS_BUSY.set(0)
         _POOL_QUEUE_DEPTH.set(0)

@@ -4,8 +4,8 @@ The pool's contract has three legs, each covered here:
 
 * **Bit-identity** — store records produced through the pool equal the
   serial ones byte for byte (modulo the measured ``duration_seconds``),
-  because the orchestrator consumes the per-cell random streams in the
-  same order and ships the results of that consumption to the workers.
+  because workers draw every unit input from the cell seeds through the
+  same ``execute_cell_group`` call the serial path makes.
 * **Robustness** — a worker that dies mid-unit is detected, the unit is
   named and re-executed serially once, and a half-finished pooled
   campaign resumes from its store exactly like a serial one.
@@ -20,23 +20,19 @@ import logging
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.campaign import _parse_workers
 from repro.eval.campaign import (
     CampaignSpec,
     TechniqueSpec,
-    execute_cell_group,
     group_cells,
-    prepare_unit_inputs,
     resolve_worker_count,
     run_campaign,
 )
 from repro.eval.experiment import ExperimentConfig, ExperimentRunner
 from repro.eval.pool import execute_units_pooled
 from repro.hardware.enhancements import MitigationKind
-from repro.utils.serialization import SharedArrayPublisher, SharedArrayView
 
 TINY_CONFIG = ExperimentConfig(
     workload="mnist", n_neurons=10, n_train=24, n_test=8, timesteps=40, epochs=1
@@ -134,39 +130,36 @@ class TestWorkerCountResolution:
             _parse_workers("many")
 
 
-class TestPreparedInputs:
-    def test_prepared_inputs_reproduce_inline_execution(self):
-        """execute_cell_group(inputs=...) equals the self-preparing path."""
-        runner = ExperimentRunner(root_seed=RUNNER_SEED)
-        prepared = runner.prepare(TINY_CONFIG)
-        techniques = [tspec.build() for tspec in tiny_spec().techniques]
-        for unit in group_cells(tiny_spec().expand()):
-            inline = execute_cell_group(
-                unit, prepared.model, prepared.test_set, techniques
-            )
-            inputs = prepare_unit_inputs(unit, prepared.model, prepared.test_set)
-            outer = execute_cell_group(
-                unit, prepared.model, prepared.test_set, techniques, inputs=inputs
-            )
-            for a, b in zip(inline, outer):
-                assert a.accuracies == b.accuracies
-                assert a.n_faults == b.n_faults
+def _openblas_loaded() -> bool:
+    """Whether this process has an OpenBLAS library mapped."""
+    try:
+        with open("/proc/self/maps") as handle:
+            return any("openblas" in line.lower() for line in handle)
+    except OSError:  # pragma: no cover - non-Linux
+        return False
 
-    def test_shared_memory_raster_views_round_trip(self):
-        """Rasters published and re-attached compare equal, zero-copy."""
-        runner = ExperimentRunner(root_seed=RUNNER_SEED)
-        prepared = runner.prepare(TINY_CONFIG)
-        unit = group_cells(tiny_spec().expand())[1]
-        inputs = prepare_unit_inputs(unit, prepared.model, prepared.test_set)
-        with SharedArrayPublisher(prefix="softsnn-test") as publisher:
-            handles = [publisher.publish(raster) for raster in inputs.rasters]
-            views = [SharedArrayView(handle) for handle in handles]
-            for raster, view in zip(inputs.rasters, views):
-                assert view.array.dtype == raster.dtype
-                assert np.array_equal(view.array, raster)
-            for view in views:
-                view.close()
-        assert pool_segments() == []
+
+class TestPoolTransport:
+    def test_shm_carries_only_the_test_sets(self):
+        """Published bytes are the test sets, whatever the unit count."""
+        prepared = ExperimentRunner(root_seed=RUNNER_SEED).prepare(TINY_CONFIG)
+        test_set = prepared.test_set
+        test_set_bytes = test_set.images.nbytes + test_set.labels.nbytes
+        few = tiny_spec(n_trials=1, fault_rates=[1e-3])
+        many = tiny_spec(n_trials=3)
+        assert len(group_cells(few.expand())) < len(group_cells(many.expand()))
+        for spec in (few, many):
+            stats = run_campaign(spec, store_path=None, n_workers=2).pool_stats
+            assert stats["shm_bytes_published"] == test_set_bytes
+
+    def test_worker_blas_threads_share_the_cores(self):
+        """Each worker caps OpenBLAS at its share of the usable cores."""
+        if not _openblas_loaded():
+            pytest.skip("numpy is not linked against OpenBLAS")
+        stats = run_campaign(tiny_spec(), store_path=None, n_workers=2).pool_stats
+        # 1 on a box with up to 3 usable CPUs: 2 workers never run more
+        # BLAS threads than there are cores.
+        assert stats["worker_blas_threads"] == max(1, len(os.sched_getaffinity(0)) // 2)
 
 
 class TestPoolBitIdentity:
